@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"opass/internal/core"
@@ -66,19 +67,6 @@ type layoutView struct{ n int }
 func (v layoutView) NumNodes() int  { return v.n }
 func (v layoutView) RackOf(int) int { return 0 }
 
-// decodeProblem parses and validates a request into a core.Problem backed
-// by an in-memory file system that mirrors the submitted block layout.
-// The streaming path is the default; LegacyDecode selects the whole-body
-// decoder. The two paths accept and reject identical requests, but build
-// the mirror FS differently (bulk vs incremental), so their snapshot
-// epochs — and hence their shared-tier keyspaces — differ.
-func (s *Server) decodeProblem(w http.ResponseWriter, r *http.Request) (*PlanRequest, *core.Problem, *apiError) {
-	if s.legacyDecode {
-		return decodeProblemLegacy(w, r, s.limits)
-	}
-	return decodeProblemStreaming(w, r, s.limits)
-}
-
 // decodeFailure maps a decoder error to the right rejection: body-limit
 // overruns become 413, everything else a generic 400.
 func decodeFailure(err error) *apiError {
@@ -92,13 +80,20 @@ func decodeFailure(err error) *apiError {
 	return badRequest("invalid", "bad request body: %w", err)
 }
 
-// decodeProblemStreaming parses the request with a token-level decoder:
-// tasks are consumed one object at a time into compact columnar
-// accumulators instead of a materialized []TaskSpec, so peak decode memory
-// tracks the problem's resident size, and the mirror FS is built with one
-// bulk CreateChunksReplicated call (one chunk block, one epoch bump)
-// instead of per-input namenode operations.
-func decodeProblemStreaming(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
+// decodeProblem parses and validates a request into a core.Problem backed
+// by an in-memory file system that mirrors the submitted block layout. It
+// is the service's only request decoder; FuzzDecodeProblem holds it to an
+// encoding/json reference.
+//
+// The request is parsed with a token-level decoder: tasks are consumed one
+// object at a time into compact columnar accumulators instead of a
+// materialized []TaskSpec, so peak decode memory tracks the problem's
+// resident size, and the mirror FS is built with one bulk
+// CreateChunksReplicated call (one chunk block, one epoch bump) instead of
+// per-input namenode operations. Top-level keys match exactly; a repeated
+// tasks or proc_nodes key, or anything but whitespace after the object,
+// is rejected.
+func decodeProblem(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
 	dec.DisallowUnknownFields()
 
@@ -118,7 +113,7 @@ func decodeProblemStreaming(w http.ResponseWriter, r *http.Request, lim RequestL
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
 		return nil, nil, badRequest("invalid", "bad request body: expected a JSON object")
 	}
-	sawTasks := false
+	sawTasks, sawProcs := false, false
 	for dec.More() {
 		keyTok, err := dec.Token()
 		if err != nil {
@@ -143,6 +138,10 @@ func decodeProblemStreaming(w http.ResponseWriter, r *http.Request, lim RequestL
 		case "degradations":
 			err = dec.Decode(&req.Degradations)
 		case "proc_nodes":
+			if sawProcs {
+				return nil, nil, badRequest("invalid", "bad request body: duplicate proc_nodes field")
+			}
+			sawProcs = true
 			if apiErr := decodeProcNodesStream(dec, req, lim); apiErr != nil {
 				return nil, nil, apiErr
 			}
@@ -165,6 +164,14 @@ func decodeProblemStreaming(w http.ResponseWriter, r *http.Request, lim RequestL
 	}
 	if _, err := dec.Token(); err != nil { // closing brace
 		return nil, nil, decodeFailure(err)
+	}
+	// Read to the end of the body: trailing bytes would otherwise be
+	// ignored, and an over-limit body must still answer 413.
+	if _, err := dec.Token(); err != io.EOF {
+		if err != nil {
+			return nil, nil, decodeFailure(err)
+		}
+		return nil, nil, badRequest("invalid", "bad request body: data after the top-level object")
 	}
 
 	numTasks := len(taskInputs)
@@ -272,7 +279,7 @@ func decodeProcNodesStream(dec *json.Decoder, req *PlanRequest, lim RequestLimit
 // decodeTasksStream consumes the tasks array one task at a time into the
 // columnar accumulators, enforcing the task and per-task input caps as
 // each element arrives. One TaskSpec is reused across iterations; its
-// contents are copied out before the next Decode overwrites them.
+// contents are copied out and reset before the next Decode reuses it.
 func decodeTasksStream(dec *json.Decoder, lim RequestLimits, taskInputs []int32, sizes []float64, repOff, reps []int) ([]int32, []float64, []int, []int, *apiError) {
 	fail := func(apiErr *apiError) ([]int32, []float64, []int, []int, *apiError) {
 		return taskInputs, sizes, repOff, reps, apiErr
@@ -294,7 +301,6 @@ func decodeTasksStream(dec *json.Decoder, lim RequestLimits, taskInputs []int32,
 			return fail(badRequest("too_many_tasks",
 				"request lists more than maximum %d tasks", lim.Tasks))
 		}
-		task.Inputs = task.Inputs[:0]
 		if err := dec.Decode(&task); err != nil {
 			return fail(decodeFailure(err))
 		}
@@ -317,11 +323,26 @@ func decodeTasksStream(dec *json.Decoder, lim RequestLimits, taskInputs []int32,
 			repOff = append(repOff, len(reps))
 		}
 		taskInputs = append(taskInputs, int32(len(task.Inputs)))
+		resetTask(&task)
 	}
 	if _, err := dec.Token(); err != nil { // closing bracket
 		return fail(decodeFailure(err))
 	}
 	return taskInputs, sizes, repOff, reps, nil
+}
+
+// resetTask returns a decoded TaskSpec to the state encoding/json gives a
+// fresh one while keeping its buffers. Decode writes into existing slice
+// elements without zeroing them, so a missing size_mb or replicas key, or a
+// null replica, would otherwise inherit an earlier task's value. Capping
+// each slice at its length hides elements a repeated key truncated away.
+func resetTask(task *TaskSpec) {
+	for i := range task.Inputs {
+		r := task.Inputs[i].Replicas
+		clear(r)
+		task.Inputs[i] = InputSpec{Replicas: r[:0:len(r)]}
+	}
+	task.Inputs = task.Inputs[:0:len(task.Inputs)]
 }
 
 // resolveProcNodes validates the submitted process list (or synthesizes
@@ -345,105 +366,6 @@ func resolveProcNodes(req *PlanRequest, lim RequestLimits) ([]int, *apiError) {
 		}
 	}
 	return procNodes, nil
-}
-
-// decodeProblemLegacy is the whole-body decoder: one json.Decode into the
-// full PlanRequest, then validation over the materialized structs. Kept as
-// a compat escape hatch and as the behavioral reference the streaming
-// path's tests compare against.
-func decodeProblemLegacy(w http.ResponseWriter, r *http.Request, lim RequestLimits) (*PlanRequest, *core.Problem, *apiError) {
-	var req PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, lim.BodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, decodeFailure(err)
-	}
-	if req.Nodes <= 0 {
-		return nil, nil, badRequest("invalid", "nodes must be positive")
-	}
-	if req.Nodes > lim.Nodes {
-		return nil, nil, badRequest("invalid", "nodes %d exceeds maximum %d", req.Nodes, lim.Nodes)
-	}
-	if len(req.Tasks) == 0 {
-		return nil, nil, badRequest("invalid", "tasks must be non-empty")
-	}
-	if apiErr := validateFaults(&req); apiErr != nil {
-		return nil, nil, apiErr
-	}
-	// Cap planner work before any of it happens: a huge body of
-	// one-replica micro-tasks must not drive unbounded planning.
-	if len(req.Tasks) > lim.Tasks {
-		return nil, nil, badRequest("too_many_tasks",
-			"request lists %d tasks, exceeding maximum %d", len(req.Tasks), lim.Tasks)
-	}
-	for ti := range req.Tasks {
-		if len(req.Tasks[ti].Inputs) > lim.InputsPerTask {
-			return nil, nil, badRequest("too_many_inputs",
-				"task %d lists %d inputs, exceeding maximum %d per task", ti, len(req.Tasks[ti].Inputs), lim.InputsPerTask)
-		}
-	}
-	procNodes, apiErr := resolveProcNodes(&req, lim)
-	if apiErr != nil {
-		return nil, nil, apiErr
-	}
-	// Mirror the layout into an in-memory FS: each input becomes a chunk
-	// created with its first replica, then the remaining replicas are added
-	// (per-input replica counts may differ, unlike a Config-level factor).
-	var firstReps [][]int
-	for _, task := range req.Tasks {
-		for _, in := range task.Inputs {
-			if len(in.Replicas) > 0 {
-				firstReps = append(firstReps, []int{in.Replicas[0]})
-			} else {
-				firstReps = append(firstReps, []int{0}) // rejected below
-			}
-		}
-	}
-	fs := dfs.New(layoutView{req.Nodes}, dfs.Config{
-		Replication: 1,
-		Placement:   dfs.FixedPlacement{Replicas: firstReps},
-	})
-	prob := &core.Problem{ProcNode: procNodes, FS: fs}
-	for ti, task := range req.Tasks {
-		if len(task.Inputs) == 0 {
-			return nil, nil, badRequest("invalid", "task %d has no inputs", ti)
-		}
-		coreTask := core.Task{ID: ti}
-		for ii, in := range task.Inputs {
-			if in.SizeMB <= 0 {
-				return nil, nil, badRequest("invalid", "task %d input %d: size_mb must be positive", ti, ii)
-			}
-			if len(in.Replicas) == 0 {
-				return nil, nil, badRequest("invalid", "task %d input %d: replicas must be non-empty", ti, ii)
-			}
-			seen := map[int]bool{}
-			for _, rep := range in.Replicas {
-				if rep < 0 || rep >= req.Nodes {
-					return nil, nil, badRequest("invalid", "task %d input %d: replica node %d outside cluster", ti, ii, rep)
-				}
-				if seen[rep] {
-					return nil, nil, badRequest("invalid", "task %d input %d: duplicate replica node %d", ti, ii, rep)
-				}
-				seen[rep] = true
-			}
-			f, err := fs.CreateChunks(fmt.Sprintf("/layout/t%d/i%d", ti, ii), []float64{in.SizeMB})
-			if err != nil {
-				return nil, nil, &apiError{status: http.StatusInternalServerError, reason: "internal", err: err}
-			}
-			id := f.Chunks[0]
-			for _, rep := range in.Replicas[1:] {
-				if err := fs.AddReplica(id, rep); err != nil {
-					return nil, nil, &apiError{status: http.StatusInternalServerError, reason: "internal", err: err}
-				}
-			}
-			coreTask.Inputs = append(coreTask.Inputs, core.Input{Chunk: id, SizeMB: in.SizeMB})
-		}
-		prob.Tasks = append(prob.Tasks, coreTask)
-	}
-	if err := prob.Validate(); err != nil {
-		return nil, nil, badRequest("invalid", "%w", err)
-	}
-	return &req, prob, nil
 }
 
 // validateFaults rejects malformed fault specs with specific messages

@@ -14,24 +14,15 @@ import (
 	"opass/internal/telemetry"
 )
 
-// bothPaths runs fn against a streaming-decode server and a legacy-decode
-// server, proving the two request paths accept and reject identically.
-func bothPaths(t *testing.T, opts ServerOptions, fn func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry)) {
+// streaming runs fn in a "streaming" subtest against a fresh server built
+// from opts; each server gets its own metrics registry unless opts names
+// one, so rejection counters start at zero.
+func streaming(t *testing.T, opts ServerOptions, fn func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry)) {
 	t.Helper()
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"streaming", false}, {"legacy", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			o := opts
-			o.LegacyDecode = mode.legacy
-			reg := telemetry.NewRegistry()
-			o.Registry = reg
-			srv := httptest.NewServer(NewServer(o))
-			defer srv.Close()
-			fn(t, srv, reg)
-		})
-	}
+	t.Run("streaming", func(t *testing.T) {
+		srv, _, reg := countingServer(t, opts)
+		fn(t, srv, reg)
+	})
 }
 
 // nTaskRequest builds a 4-node request with the given task/input shape.
@@ -63,9 +54,9 @@ func rejection(t *testing.T, reg *telemetry.Registry, resp *http.Response, body 
 }
 
 // TestTaskLimitBoundary: exactly the task cap is accepted; one past is
-// rejected in the too_many_tasks bucket — on both decode paths.
+// rejected in the too_many_tasks bucket.
 func TestTaskLimitBoundary(t *testing.T) {
-	bothPaths(t, ServerOptions{Limits: RequestLimits{Tasks: 4}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
+	streaming(t, ServerOptions{Limits: RequestLimits{Tasks: 4}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
 		resp, body := post(t, srv, "/v1/plan", nTaskRequest(4, 1))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("at-limit request rejected: %d %.200s", resp.StatusCode, body)
@@ -76,9 +67,9 @@ func TestTaskLimitBoundary(t *testing.T) {
 }
 
 // TestInputLimitBoundary: exactly the per-task input cap is accepted; one
-// past is rejected in the too_many_inputs bucket — on both decode paths.
+// past is rejected in the too_many_inputs bucket.
 func TestInputLimitBoundary(t *testing.T) {
-	bothPaths(t, ServerOptions{Limits: RequestLimits{InputsPerTask: 3}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
+	streaming(t, ServerOptions{Limits: RequestLimits{InputsPerTask: 3}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
 		resp, body := post(t, srv, "/v1/plan", nTaskRequest(2, 3))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("at-limit request rejected: %d %.200s", resp.StatusCode, body)
@@ -89,14 +80,14 @@ func TestInputLimitBoundary(t *testing.T) {
 }
 
 // TestBodyLimitBoundary: a body of exactly the byte cap is accepted; one
-// byte past is rejected with 413 in the too_large bucket — on both paths.
+// byte past is rejected with 413 in the too_large bucket.
 func TestBodyLimitBoundary(t *testing.T) {
 	raw, err := json.Marshal(nTaskRequest(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := int64(len(raw))
-	bothPaths(t, ServerOptions{Limits: RequestLimits{BodyBytes: exact}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
+	streaming(t, ServerOptions{Limits: RequestLimits{BodyBytes: exact}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
 		resp, err := http.Post(srv.URL+"/v1/plan", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +97,7 @@ func TestBodyLimitBoundary(t *testing.T) {
 			t.Fatalf("exact-size body rejected: %d", resp.StatusCode)
 		}
 	})
-	bothPaths(t, ServerOptions{Limits: RequestLimits{BodyBytes: exact - 1}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
+	streaming(t, ServerOptions{Limits: RequestLimits{BodyBytes: exact - 1}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
 		resp, body := post(t, srv, "/v1/plan", nTaskRequest(4, 1))
 		rejection(t, reg, resp, body, http.StatusRequestEntityTooLarge, "too_large", "exceeds")
 		if !resp.Close && resp.Header.Get("Connection") != "close" {
@@ -115,10 +106,10 @@ func TestBodyLimitBoundary(t *testing.T) {
 	})
 }
 
-// TestNodesProcsLimitBoundary: the node and process caps hold on both
-// paths, at the boundary and one past it.
+// TestNodesProcsLimitBoundary: the node and process caps hold at the
+// boundary and one past it.
 func TestNodesProcsLimitBoundary(t *testing.T) {
-	bothPaths(t, ServerOptions{Limits: RequestLimits{Nodes: 8, Procs: 4}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
+	streaming(t, ServerOptions{Limits: RequestLimits{Nodes: 8, Procs: 4}}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
 		req := nTaskRequest(2, 1)
 		req.Nodes = 8
 		req.ProcNodes = []int{0, 1, 2, 3}
@@ -183,10 +174,9 @@ func TestStreamingFieldOrder(t *testing.T) {
 }
 
 // TestStreamingUnknownFields: unknown keys are rejected at the top level
-// and inside nested task/input objects, matching the legacy decoder's
-// DisallowUnknownFields behavior.
+// and inside nested task/input objects.
 func TestStreamingUnknownFields(t *testing.T) {
-	bothPaths(t, ServerOptions{}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
+	streaming(t, ServerOptions{}, func(t *testing.T, srv *httptest.Server, reg *telemetry.Registry) {
 		for _, body := range []string{
 			`{"nodes": 4, "bogus": 1, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]}`,
 			`{"nodes": 4, "tasks": [{"bogus": 1, "inputs": [{"size_mb": 1, "replicas": [0]}]}]}`,
@@ -204,42 +194,11 @@ func TestStreamingUnknownFields(t *testing.T) {
 	})
 }
 
-// TestStreamingLegacyPlanParity: the same mixed-shape request produces the
-// same plan through both decode paths — different FS construction, same
-// problem, byte-identical assignment.
-func TestStreamingLegacyPlanParity(t *testing.T) {
-	req := PlanRequest{Nodes: 6, Seed: 11, ProcNodes: []int{0, 1, 2, 3, 4, 5, 0, 3}}
-	for i := 0; i < 24; i++ {
-		ins := []InputSpec{{SizeMB: float64(8 + i%5), Replicas: []int{i % 6, (i + 2) % 6}}}
-		if i%3 == 0 {
-			ins = append(ins, InputSpec{SizeMB: 4, Replicas: []int{(i + 4) % 6}})
-		}
-		req.Tasks = append(req.Tasks, TaskSpec{Inputs: ins})
-	}
-	var got [2]PlanResponse
-	for i, legacy := range []bool{false, true} {
-		srv := httptest.NewServer(NewServer(ServerOptions{LegacyDecode: legacy}))
-		resp, body := post(t, srv, "/v1/plan", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("legacy=%v: status %d: %.300s", legacy, resp.StatusCode, body)
-		}
-		if err := json.Unmarshal(body, &got[i]); err != nil {
-			t.Fatal(err)
-		}
-		srv.Close()
-	}
-	if got[0].Strategy != got[1].Strategy ||
-		fmt.Sprint(got[0].Owner) != fmt.Sprint(got[1].Owner) ||
-		fmt.Sprint(got[0].Lists) != fmt.Sprint(got[1].Lists) ||
-		got[0].LocalityFraction != got[1].LocalityFraction {
-		t.Fatalf("decode paths disagree:\nstreaming: %+v\nlegacy:    %+v", got[0], got[1])
-	}
-}
-
-// TestStreamingValidationParity: requests the legacy path rejects are
-// rejected by the streaming path too (the TestValidationErrors table plus
-// fault-spec shapes).
-func TestStreamingValidationParity(t *testing.T) {
+// TestDecodeRejections: malformed requests answer 400 — the
+// TestValidationErrors table plus fault-spec shapes, repeated keys,
+// trailing data, and fields a reused task buffer must not carry over from
+// the previous task.
+func TestDecodeRejections(t *testing.T) {
 	cases := []string{
 		`{"nodes": 0, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]}`,
 		`{"nodes": 4}`,
@@ -256,6 +215,11 @@ func TestStreamingValidationParity(t *testing.T) {
 		`not json`,
 		`[1, 2]`,
 		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}], "tasks": []}`,
+		`{"nodes": 4, "proc_nodes": [0], "proc_nodes": [1], "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]}`,
+		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]} garbage`,
+		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}]}{"nodes": -1}`,
+		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}, {"inputs": [{"replicas": [1]}]}]}`,
+		`{"nodes": 4, "tasks": [{"inputs": [{"size_mb": 1, "replicas": [0]}]}, {"inputs": [{"size_mb": 1}]}]}`,
 	}
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

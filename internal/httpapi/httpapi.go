@@ -298,11 +298,6 @@ type ServerOptions struct {
 	// Limits overrides the request-decode bounds; zero fields mean the
 	// package defaults (see RequestLimits).
 	Limits RequestLimits
-	// LegacyDecode routes /v1/plan and /v1/simulate through the
-	// whole-body request decoder instead of the streaming one — a compat
-	// escape hatch, and the behavioral reference the streaming path's
-	// tests compare against.
-	LegacyDecode bool
 	// RemoteTier, when non-nil, is the shared L2 plan cache consulted
 	// (and populated) inside the planner singleflight, letting N opassd
 	// replicas dedupe planner work fleet-wide. Backend failures degrade
@@ -326,10 +321,8 @@ type Server struct {
 	simAdmit   *admitter
 	queueWait  time.Duration
 	reqTimeout time.Duration
-	// limits bounds the request decoders; legacyDecode selects the
-	// whole-body path over the streaming default.
-	limits       RequestLimits
-	legacyDecode bool
+	// limits bounds the request decoder.
+	limits RequestLimits
 	// tier is the shared L2 plan cache (nil when not configured); tierNS
 	// and tierTTL shape its keys and entry lifetimes.
 	tier    plancache.Tier
@@ -428,14 +421,13 @@ func NewServer(opts ServerOptions) *Server {
 		reqTimeout = DefaultRequestTimeout
 	}
 	s := &Server{
-		reg:          reg,
-		logger:       opts.Logger,
-		planAdmit:    newAdmitter(maxInflight),
-		simAdmit:     newAdmitter(maxInflight),
-		queueWait:    queueWait,
-		reqTimeout:   reqTimeout,
-		limits:       opts.Limits.withDefaults(),
-		legacyDecode: opts.LegacyDecode,
+		reg:        reg,
+		logger:     opts.Logger,
+		planAdmit:  newAdmitter(maxInflight),
+		simAdmit:   newAdmitter(maxInflight),
+		queueWait:  queueWait,
+		reqTimeout: reqTimeout,
+		limits:     opts.Limits.withDefaults(),
 	}
 	if opts.RemoteTier != nil {
 		s.tier = opts.RemoteTier
@@ -519,7 +511,7 @@ func (s *Server) Drain() {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	req, prob, apiErr := s.decodeProblem(w, r)
+	req, prob, apiErr := decodeProblem(w, r, s.limits)
 	if apiErr != nil {
 		s.reject(w, r, apiErr)
 		return
@@ -540,7 +532,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, prob, apiErr := s.decodeProblem(w, r)
+	req, prob, apiErr := decodeProblem(w, r, s.limits)
 	if apiErr != nil {
 		s.reject(w, r, apiErr)
 		return
@@ -618,17 +610,7 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, apiErr *apiError
 // units: one per task plus one per input (planner cost scales with locality
 // edges, simulation cost with read flows — both proportional to inputs).
 func workWeight(req *PlanRequest) int64 {
-	w := req.weight
-	if w == 0 { // legacy decode path: Tasks is materialized
-		w = int64(len(req.Tasks))
-		for i := range req.Tasks {
-			w += int64(len(req.Tasks[i].Inputs))
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(req.weight, 1)
 }
 
 // admit passes the request through the route's admission gate, recording
@@ -800,10 +782,10 @@ type tierPlan struct {
 
 // tierKeyFor derives the remote key: the configured namespace, the
 // namenode-metadata snapshot epoch of the mirror FS the plan was computed
-// against, and the content-addressed problem fingerprint. Replicas that
-// decoded the same request produce identical snapshots, so keys collide
-// exactly when the metadata agrees; any divergence (including the legacy
-// vs streaming FS-build paths) lands in disjoint keyspaces.
+// against, and the content-addressed problem fingerprint. The mirror's
+// epoch is a pure function of the request, so the e<epoch> segment adds
+// nothing the fingerprint lacks; it stays only because perfbench's layer
+// pass derives the same key, so removing it is a change to both.
 func (s *Server) tierKeyFor(prob *core.Problem, key plancache.Key) string {
 	snap := prob.FS.Snapshot()
 	return plancache.TierKey(fmt.Sprintf("%s/e%d", s.tierNS, snap.Epoch), key)

@@ -17,7 +17,8 @@ import (
 // shared-tier path can be exercised end to end — unit tests, the -race CI
 // job, and local multi-replica experiments — without a memcached binary in
 // the environment. It is NOT a production cache: storage is an unbounded
-// map with TTL-on-read expiry only.
+// map with TTL-on-read expiry only. Like memcached, it refuses items larger
+// than maxItemBytes, so tests see the failures a real tier returns.
 type MemcachedServer struct {
 	ln net.Listener
 	wg sync.WaitGroup
@@ -173,6 +174,18 @@ func (s *MemcachedServer) handleSet(br *bufio.Reader, bw *bufio.Writer, args []s
 	if err1 != nil || err2 != nil || size < 0 || validKey(key) != nil {
 		fmt.Fprintf(bw, "CLIENT_ERROR bad command line format\r\n")
 		return fmt.Errorf("malformed set header")
+	}
+	if size > maxItemBytes {
+		// Swallow the data block, as memcached does, so the stream stays in
+		// sync without allocating for it.
+		if _, err := io.CopyN(io.Discard, br, int64(size)); err != nil {
+			return err
+		}
+		if _, err := io.CopyN(io.Discard, br, 2); err != nil {
+			return err
+		}
+		fmt.Fprintf(bw, "SERVER_ERROR object too large for cache\r\n")
+		return nil
 	}
 	buf := make([]byte, size+2)
 	if _, err := io.ReadFull(br, buf); err != nil {

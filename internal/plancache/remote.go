@@ -56,6 +56,12 @@ type RemoteOptions struct {
 // that a dead memcached never stalls a planning request noticeably.
 const DefaultRemoteTimeout = 250 * time.Millisecond
 
+// maxItemBytes bounds one remote value: memcached's default item size
+// limit (-I 1m). Set refuses a larger value without a round trip, and Get
+// rejects a larger VALUE header before allocating for it, so a peer's
+// size field can never drive an allocation.
+const maxItemBytes = 1 << 20
+
 type remoteConn struct {
 	c net.Conn
 	r *bufio.Reader
@@ -154,7 +160,7 @@ func (r *Remote) Get(ctx context.Context, key string) ([]byte, bool, error) {
 			switch {
 			case line == "END":
 				return nil
-			case strings.HasPrefix(line, "VALUE "):
+			case strings.HasPrefix(line, "VALUE ") && !found:
 				fields := strings.Fields(line)
 				if len(fields) != 4 || fields[1] != key {
 					return fmt.Errorf("plancache: malformed VALUE line %q", line)
@@ -162,6 +168,9 @@ func (r *Remote) Get(ctx context.Context, key string) ([]byte, bool, error) {
 				size, err := strconv.Atoi(fields[3])
 				if err != nil || size < 0 {
 					return fmt.Errorf("plancache: malformed VALUE size in %q", line)
+				}
+				if size > maxItemBytes {
+					return fmt.Errorf("plancache: VALUE size %d exceeds the %d-byte item limit", size, maxItemBytes)
 				}
 				buf := make([]byte, size+2) // trailing \r\n
 				if _, err := io.ReadFull(rc.r, buf); err != nil {
@@ -193,6 +202,10 @@ func (r *Remote) Set(ctx context.Context, key string, value []byte, ttl time.Dur
 	if err := validKey(key); err != nil {
 		r.errors.Add(1)
 		return err
+	}
+	if len(value) > maxItemBytes {
+		r.errors.Add(1)
+		return fmt.Errorf("plancache: value of %d bytes exceeds the %d-byte item limit", len(value), maxItemBytes)
 	}
 	exptime := 0
 	if ttl > 0 {
