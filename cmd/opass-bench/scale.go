@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,10 +45,13 @@ type scaleRow struct {
 	LocalityFraction float64 `json:"locality_fraction"`
 }
 
-// scaleReport is the BENCH_scale.json document.
+// scaleReport is the BENCH_scale.json document. NumCPU, GoMaxProcs and
+// GoVersion record the machine a row's timings came from.
 type scaleReport struct {
 	GeneratedBy string     `json:"generated_by"`
+	NumCPU      int        `json:"num_cpu"`
 	GoMaxProcs  int        `json:"go_max_procs"`
+	GoVersion   string     `json:"go_version"`
 	Scale       int        `json:"scale"`
 	Rows        []scaleRow `json:"rows"`
 }
@@ -55,10 +59,13 @@ type scaleReport struct {
 // writeScaleBody streams the plan request for one trajectory point as JSON:
 // procs processes pinned one per node, tasks single-input 64 MB tasks with 3
 // distinct random replicas each. Streaming generation keeps the bench's own
-// footprint out of the heap measurement — the body is never resident. It
-// returns the number of body bytes produced.
+// footprint out of the heap measurement — the body is never resident; a
+// 64 KiB buffer turns the per-token writes into few large ones, so the
+// generator does not dominate the row's wall time. It returns the number of
+// body bytes produced.
 func writeScaleBody(w io.Writer, procs, tasks int, seed int64) (int64, error) {
-	bw := newCountingWriter(w)
+	buf := bufio.NewWriterSize(w, 64<<10)
+	bw := newCountingWriter(buf)
 	rng := rand.New(rand.NewSource(seed))
 	fmt.Fprintf(bw, `{"nodes":%d,"strategy":"opass","seed":%d,"proc_nodes":[`, procs, seed)
 	for i := 0; i < procs; i++ {
@@ -87,11 +94,14 @@ func writeScaleBody(w io.Writer, procs, tasks int, seed int64) (int64, error) {
 	if err == nil {
 		err = bw.err
 	}
+	if err == nil {
+		err = buf.Flush()
+	}
 	return bw.n, err
 }
 
 // countingWriter tracks bytes written and the first error, so the generator
-// reports the body size without buffering it.
+// reports the body size without holding the body.
 type countingWriter struct {
 	w   io.Writer
 	n   int64
@@ -160,7 +170,9 @@ func scaleStudy(cfg int, seed int64, jsonPath string) error {
 
 	rep := &scaleReport{
 		GeneratedBy: "opass-bench scale",
+		NumCPU:      runtime.NumCPU(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		GoVersion:   runtime.Version(),
 		Scale:       cfg,
 	}
 	fmt.Println("\nstreaming request path at bulk scale (decode + plan over HTTP):")

@@ -112,6 +112,9 @@ func assignMaxLocality(ctx context.Context, g *Graph, quotas, sizes []int64, alg
 	fileBase := 1 + numP
 	t := 1 + numP + numF
 	fn := NewFlowNetwork(t + 1)
+	// One s->p arc per process, one p->f arc per edge, one f->t arc per
+	// file: the exact arc count, so the build never regrows an array.
+	fn.Reserve(numP + g.NumEdges() + numF)
 
 	spArc := make([]int, numP)
 	for p := 0; p < numP; p++ {
@@ -123,7 +126,7 @@ func assignMaxLocality(ctx context.Context, g *Graph, quotas, sizes []int64, alg
 	type pfArc struct {
 		p, f, id int
 	}
-	var pf []pfArc
+	pf := make([]pfArc, 0, g.NumEdges())
 	for p := 0; p < numP; p++ {
 		for _, e := range g.EdgesOfP(p) {
 			// The paper caps the process->file edge at the file size; the
@@ -238,6 +241,7 @@ func MaxMatchingSize(g *Graph, algo Algorithm) int {
 	fileBase := 1 + numP
 	t := 1 + numP + numF
 	fn := NewFlowNetwork(t + 1)
+	fn.Reserve(numP + g.NumEdges() + numF)
 	for p := 0; p < numP; p++ {
 		fn.AddArc(s, procBase+p, 1)
 	}

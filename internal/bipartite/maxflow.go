@@ -42,7 +42,20 @@ func NewFlowNetwork(n int) *FlowNetwork {
 		head:  head,
 		level: make([]int, n),
 		iter:  make([]int, n),
+		queue: make([]int, 0, n),
 		prevA: make([]int, n),
+	}
+}
+
+// Reserve pre-sizes the arc arrays for arcs more forward arcs (each also
+// adds its residual twin), so a builder that knows its arc count up front
+// fills them without append growth. Arc IDs, flows and search order are
+// unaffected; reserving no more than the spare capacity is a no-op.
+func (fn *FlowNetwork) Reserve(arcs int) {
+	if need := len(fn.to) + 2*arcs; need > cap(fn.to) {
+		fn.to = append(make([]int, 0, need), fn.to...)
+		fn.next = append(make([]int, 0, need), fn.next...)
+		fn.cap = append(make([]int64, 0, need), fn.cap...)
 	}
 }
 

@@ -187,3 +187,112 @@ func TestPropertyFlowConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// figure5Network builds the s->p->f->t network of AssignMaxLocality in its
+// arc order, optionally pre-sized with Reserve, and returns its p->f arcs
+// as {p, f, id} alongside every arc ID in insertion order.
+func figure5Network(g *Graph, quotas, sizes []int64, reserve bool) (fn *FlowNetwork, pf [][3]int, ids []int) {
+	numP, numF := g.NumP(), g.NumF()
+	fn = NewFlowNetwork(numP + numF + 2)
+	if reserve {
+		fn.Reserve(numP + g.NumEdges() + numF)
+	}
+	t := numP + numF + 1
+	for p := 0; p < numP; p++ {
+		ids = append(ids, fn.AddArc(0, 1+p, quotas[p]))
+	}
+	for p := 0; p < numP; p++ {
+		for _, e := range g.EdgesOfP(p) {
+			c := min(sizes[e.F], e.Weight)
+			id := fn.AddArc(1+p, 1+numP+e.F, c)
+			pf = append(pf, [3]int{p, e.F, id})
+			ids = append(ids, id)
+		}
+	}
+	for f := 0; f < numF; f++ {
+		ids = append(ids, fn.AddArc(1+numP+f, t, sizes[f]))
+	}
+	return fn, pf, ids
+}
+
+// TestReserveKeepsArcIDsFlowsAndOwners: pre-sizing the network is purely an
+// allocation change. With and without Reserve the same build yields the
+// same arc IDs and, under either solver, the same per-arc flows; owners
+// decoded from those flows match AssignMaxLocality, which always reserves.
+func TestReserveKeepsArcIDsFlowsAndOwners(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, quotas, sizes := warmFlowFixture(rng)
+		numP, numF := g.NumP(), g.NumF()
+		for _, algo := range []Algorithm{EdmondsKarp, Dinic} {
+			plain, pf, plainIDs := figure5Network(g, quotas, sizes, false)
+			sized, _, sizedIDs := figure5Network(g, quotas, sizes, true)
+			if len(plainIDs) != len(sizedIDs) {
+				t.Errorf("seed %d: %d arcs plain, %d reserved", seed, len(plainIDs), len(sizedIDs))
+				return false
+			}
+			for i := range plainIDs {
+				if plainIDs[i] != sizedIDs[i] {
+					t.Errorf("seed %d: arc %d has ID %d plain, %d reserved", seed, i, plainIDs[i], sizedIDs[i])
+					return false
+				}
+			}
+			s, sink := 0, numP+numF+1
+			var v1, v2 int64
+			if algo == Dinic {
+				v1, v2 = plain.MaxFlowDinic(s, sink), sized.MaxFlowDinic(s, sink)
+			} else {
+				v1, v2 = plain.MaxFlowEK(s, sink), sized.MaxFlowEK(s, sink)
+			}
+			if v1 != v2 {
+				t.Errorf("seed %d %v: flow value %d plain, %d reserved", seed, algo, v1, v2)
+				return false
+			}
+			for _, id := range plainIDs {
+				if plain.Flow(id) != sized.Flow(id) {
+					t.Errorf("seed %d %v: arc %d flow %d plain, %d reserved", seed, algo, id, plain.Flow(id), sized.Flow(id))
+					return false
+				}
+			}
+			// Every capacity is a multiple of the one file size, so flow
+			// never splits a file: its owner is the process whose p->f arc
+			// carries the whole file.
+			owner := make([]int, numF)
+			for f := range owner {
+				owner[f] = -1
+			}
+			for _, a := range pf {
+				if plain.Flow(a[2]) == sizes[a[1]] {
+					owner[a[1]] = a[0]
+				}
+			}
+			res := AssignMaxLocality(g, quotas, sizes, algo)
+			for f := range owner {
+				if owner[f] != res.Owner[f] {
+					t.Errorf("seed %d %v: file %d owned by %d unreserved, %d by AssignMaxLocality", seed, algo, f, owner[f], res.Owner[f])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReserveMidBuild: reserving after arcs exist keeps them and their IDs.
+func TestReserveMidBuild(t *testing.T) {
+	fn := NewFlowNetwork(3)
+	a := fn.AddArc(0, 1, 10)
+	fn.Reserve(1)
+	before := cap(fn.to)
+	b := fn.AddArc(1, 2, 7)
+	if cap(fn.to) != before {
+		t.Fatalf("reserved AddArc regrew the arc array: cap %d -> %d", before, cap(fn.to))
+	}
+	fn.Reserve(0) // no-op
+	if a != 0 || b != 2 || fn.MaxFlowDinic(0, 2) != 7 || fn.Flow(a) != 7 || fn.Flow(b) != 7 {
+		t.Fatalf("arcs %d,%d flows %d,%d after mid-build reserve", a, b, fn.Flow(a), fn.Flow(b))
+	}
+}

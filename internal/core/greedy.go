@@ -104,8 +104,7 @@ func (g GreedyLocality) AssignContext(ctx context.Context, p *Problem) (*Assignm
 	rng := rand.New(rand.NewSource(g.Seed))
 	repairUnmatched(p, owner, rng)
 
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	sortEachList(a.Lists)
+	a := &Assignment{Owner: owner, Lists: OwnerLists(owner, p.NumProcs())}
 	fillLocality(p, a)
 	return a, nil
 }

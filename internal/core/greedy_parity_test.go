@@ -75,8 +75,7 @@ func greedyProbeReference(t *testing.T, p *Problem, seed int64) *Assignment {
 	rng := rand.New(rand.NewSource(seed))
 	repairUnmatched(p, owner, rng)
 
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	sortEachList(a.Lists)
+	a := &Assignment{Owner: owner, Lists: OwnerLists(owner, p.NumProcs())}
 	fillLocality(p, a)
 	return a
 }

@@ -200,8 +200,7 @@ func (md MultiData) AssignContext(ctx context.Context, p *Problem) (*Assignment,
 		loadMB[best] += p.Tasks[t].SizeMB()
 	}
 
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	sortEachList(a.Lists)
+	a := &Assignment{Owner: owner, Lists: OwnerLists(owner, p.NumProcs())}
 	fillLocality(p, a)
 	return a, nil
 }

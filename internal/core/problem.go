@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"opass/internal/bipartite"
 	"opass/internal/dfs"
@@ -216,9 +215,26 @@ func fillLocality(p *Problem, a *Assignment) {
 	}
 }
 
-// buildLists derives per-process ordered lists from Owner.
-func buildLists(p *Problem, owner []int) [][]int {
-	lists := make([][]int, p.NumProcs())
+// OwnerLists derives per-process task lists from owner, each in ascending
+// task order. The lists are carved from one backing array of len(owner)
+// ints, each capped at its own length so a caller's append copies instead
+// of overwriting the next list; a process with no tasks gets a nil list.
+// Every served planner builds its lists here, so the plan cache can keep
+// only Owner and rebuild identical lists on a hit.
+func OwnerLists(owner []int, numProcs int) [][]int {
+	lists := make([][]int, numProcs)
+	counts := make([]int, numProcs)
+	for _, proc := range owner {
+		counts[proc]++
+	}
+	backing := make([]int, len(owner))
+	off := 0
+	for proc, c := range counts {
+		if c > 0 {
+			lists[proc] = backing[off : off : off+c]
+			off += c
+		}
+	}
 	for t, proc := range owner {
 		lists[proc] = append(lists[proc], t)
 	}
@@ -433,12 +449,4 @@ func pickSmallest(loadMB []float64, counts, quotas []int, rng *rand.Rand) int {
 		}
 	}
 	return best
-}
-
-// sortEachList orders every process's list by task ID for deterministic
-// execution order.
-func sortEachList(lists [][]int) {
-	for i := range lists {
-		sort.Ints(lists[i])
-	}
 }

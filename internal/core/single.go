@@ -154,7 +154,7 @@ func (s SingleData) assign(ctx context.Context, p *Problem, seed []int) (*Assign
 		if err != nil {
 			return nil, err
 		}
-		owner = append([]int(nil), res.Owner...)
+		owner = res.Owner
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -181,8 +181,7 @@ func (s SingleData) assign(ctx context.Context, p *Problem, seed []int) (*Assign
 		repairUnmatchedWeighted(p, owner, quotasMB, rng)
 	}
 
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner), Matched: matched}
-	sortEachList(a.Lists)
+	a := &Assignment{Owner: owner, Lists: OwnerLists(owner, p.NumProcs()), Matched: matched}
 	fillLocality(p, a)
 	return a, nil
 }
@@ -365,7 +364,7 @@ func (RankStatic) Assign(p *Problem) (*Assignment, error) {
 			owner[t] = i
 		}
 	}
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
+	a := &Assignment{Owner: owner, Lists: OwnerLists(owner, p.NumProcs())}
 	fillLocality(p, a)
 	return a, nil
 }
@@ -399,8 +398,7 @@ func (r RandomStatic) Assign(p *Problem) (*Assignment, error) {
 		owner[t] = proc
 		used++
 	}
-	a := &Assignment{Owner: owner, Lists: buildLists(p, owner)}
-	sortEachList(a.Lists)
+	a := &Assignment{Owner: owner, Lists: OwnerLists(owner, p.NumProcs())}
 	fillLocality(p, a)
 	return a, nil
 }

@@ -250,24 +250,17 @@ func TestCompactJSONAndPretty(t *testing.T) {
 	}
 }
 
-// TestPickAssignerScalesSolver: above kuhnTaskThreshold the default strategy
-// must select the direct matcher — Edmonds-Karp does not finish at 1M tasks.
-func TestPickAssignerScalesSolver(t *testing.T) {
-	small := &core.Problem{Tasks: make([]core.Task, 64)}
-	req := &PlanRequest{}
-	a, apiErr := pickAssigner(req, small)
-	if apiErr != nil {
-		t.Fatal(apiErr)
-	}
-	if sd, ok := a.(core.SingleData); !ok || sd.Algorithm != bipartite.EdmondsKarp {
-		t.Fatalf("small problem assigner = %#v, want SingleData with Edmonds-Karp", a)
-	}
-	big := &core.Problem{Tasks: make([]core.Task, kuhnTaskThreshold)}
-	a, apiErr = pickAssigner(req, big)
-	if apiErr != nil {
-		t.Fatal(apiErr)
-	}
-	if sd, ok := a.(core.SingleData); !ok || sd.Algorithm != bipartite.Kuhn {
-		t.Fatalf("large problem assigner = %#v, want SingleData with Kuhn", a)
+// TestPickAssignerServesDinic: the default strategy plans every
+// single-data problem with Dinic, at paper scale and at bulk scale alike;
+// there is no task-count threshold that switches solvers.
+func TestPickAssignerServesDinic(t *testing.T) {
+	for _, n := range []int{64, 1 << 13} {
+		a, apiErr := pickAssigner(&PlanRequest{}, &core.Problem{Tasks: make([]core.Task, n)})
+		if apiErr != nil {
+			t.Fatal(apiErr)
+		}
+		if sd, ok := a.(core.SingleData); !ok || sd.Algorithm != bipartite.Dinic {
+			t.Fatalf("%d-task assigner = %#v, want SingleData with Dinic", n, a)
+		}
 	}
 }

@@ -159,9 +159,10 @@ const (
 // them as flags.
 const (
 	// DefaultRemoteTierNamespace prefixes every remote tier key. Bump it
-	// when the tierPlan wire format changes so mixed-version fleets land
-	// in disjoint keyspaces instead of failing to decode each other.
-	DefaultRemoteTierNamespace = "opass1"
+	// when the wire format or the served solver changes, so mixed-version
+	// fleets land in disjoint keyspaces instead of exchanging plans that
+	// decode differently or differ byte for byte.
+	DefaultRemoteTierNamespace = "opass2"
 	// DefaultRemoteTierTTL bounds a published plan's remote lifetime.
 	DefaultRemoteTierTTL = 10 * time.Minute
 )
@@ -342,12 +343,33 @@ type Server struct {
 	plannerRan func()
 }
 
-// cachedPlan is the unit the plan cache stores: the response envelope plus
-// the assignment /v1/simulate feeds to the engine. Both are treated as
-// immutable once cached (the engine copies the lists it consumes).
+// cachedPlan is the unit the plan cache stores: the response envelope and
+// the assignment /v1/simulate feeds to the engine, reduced to their owners
+// and scalars. Lists and Matched stay nil, so an entry retains 8 B per
+// task; expand rebuilds the lists for every response. Owner is shared by
+// all responses served from the entry and is treated as immutable.
 type cachedPlan struct {
 	resp PlanResponse
-	a    *core.Assignment
+	a    core.Assignment
+}
+
+// ownersOnly reduces a computed plan to its cache entry.
+func ownersOnly(resp PlanResponse, a *core.Assignment) cachedPlan {
+	resp.Lists = nil
+	return cachedPlan{resp: resp, a: core.Assignment{
+		Owner: a.Owner, PlannedLocalMB: a.PlannedLocalMB, PlannedTotalMB: a.PlannedTotalMB,
+	}}
+}
+
+// expand rebuilds a cached plan's lists from its owners. Every served
+// planner builds its lists with core.OwnerLists, so the rebuilt lists equal
+// the computed ones and a hit encodes to the miss's bytes. Each call
+// returns fresh lists, so a caller mutating them cannot reach the entry.
+func (cp cachedPlan) expand(numProcs int) (PlanResponse, *core.Assignment) {
+	lists := core.OwnerLists(cp.a.Owner, numProcs)
+	resp, a := cp.resp, cp.a
+	resp.Lists, a.Lists = lists, lists
+	return resp, &a
 }
 
 // Handler returns the service's HTTP handler with default telemetry (a
@@ -706,13 +728,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 	}
 }
 
-// kuhnTaskThreshold is the single-data problem size above which the server
-// swaps Edmonds-Karp for the direct augmenting matcher. Edmonds-Karp pays
-// one BFS per matched task, which is already ~1 minute at 50k tasks and
-// hopeless at 1M; 2^13 tasks keeps the paper-faithful solver on every
-// paper-scale problem while bulk layouts get the solver that finishes there.
-const kuhnTaskThreshold = 1 << 13
-
 // pickAssigner resolves the request's strategy to a planner. The resolved
 // name (not the raw strategy string) keys the plan cache, so "" and
 // "opass" share entries.
@@ -729,17 +744,11 @@ func pickAssigner(req *PlanRequest, prob *core.Problem) (core.Assigner, *apiErro
 		if multi {
 			return core.MultiData{Seed: req.Seed}, nil
 		}
-		sd := core.SingleData{Seed: req.Seed}
-		if len(prob.Tasks) >= kuhnTaskThreshold {
-			// Edmonds-Karp augments one unit of flow per BFS, which stops
-			// scaling far below 1M tasks. Above the threshold switch to the
-			// direct matcher: with equal task sizes (the common bulk layout)
-			// it skips the flow network entirely, and with unequal sizes
-			// SingleData falls back to Edmonds-Karp on its own. The choice
-			// depends only on the problem, so cached plans stay deterministic.
-			sd.Algorithm = bipartite.Kuhn
-		}
-		return sd, nil
+		// Every max-flow algorithm reaches the same locality, so the server
+		// plans with Dinic at every size: its blocking-flow phases finish
+		// 1M tasks where Edmonds-Karp's one BFS per unit of flow does not.
+		// Library callers keep SingleData's Edmonds-Karp default.
+		return core.SingleData{Seed: req.Seed, Algorithm: bipartite.Dinic}, nil
 	case "rank":
 		return core.RankStatic{}, nil
 	case "random":
@@ -761,14 +770,10 @@ func planFingerprint(prob *core.Problem, strategy string, seed int64) plancache.
 	return plancache.KeyOf(prob.AppendCanonical(nil), []byte(strategy), seedBytes[:])
 }
 
-// planSizeBytes estimates a cached plan's memory footprint for the cache's
-// byte bound: slice payloads plus headers and the fixed envelope.
-func planSizeBytes(resp *PlanResponse) int64 {
-	n := int64(len(resp.Owner)) * 8
-	for _, l := range resp.Lists {
-		n += 24 + int64(len(l))*8
-	}
-	return n + 256
+// planSizeBytes estimates what a cache entry retains for the cache's byte
+// bound: 8 B per owner plus the fixed envelope.
+func planSizeBytes(cp *cachedPlan) int64 {
+	return int64(len(cp.a.Owner))*8 + 256
 }
 
 // tierPlan is the wire form of a cached plan in the shared tier. The
@@ -821,7 +826,7 @@ func (s *Server) tierFetch(ctx context.Context, prob *core.Problem, key plancach
 		return cachedPlan{}, false
 	}
 	s.reg.Counter(MetricPlanCacheRemoteHits).Inc()
-	return cachedPlan{resp: tp.Resp, a: a}, true
+	return ownersOnly(tp.Resp, a), true
 }
 
 // tierPublish offers a freshly computed plan to the shared tier; failures
@@ -856,7 +861,8 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 		}
 		key := planFingerprint(prob, assigner.Name(), req.Seed)
 		if cp, ok := s.tierFetch(ctx, prob, key); ok {
-			return cp.resp, cp.a, nil
+			resp, a := cp.expand(prob.NumProcs())
+			return resp, a, nil
 		}
 		resp, a, err := s.computePlan(ctx, assigner, prob)
 		if err == nil {
@@ -869,15 +875,16 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 		// The shared tier is consulted inside the flight: when another
 		// replica already planned this fingerprint, its plan is adopted
 		// and the local planner never runs.
-		if cp, ok := s.tierFetch(cctx, prob, key); ok {
-			return cp, planSizeBytes(&cp.resp), nil
+		cp, ok := s.tierFetch(cctx, prob, key)
+		if !ok {
+			resp, a, err := s.computePlan(cctx, assigner, prob)
+			if err != nil {
+				return cachedPlan{}, 0, err
+			}
+			s.tierPublish(cctx, prob, key, &resp, a)
+			cp = ownersOnly(resp, a)
 		}
-		resp, a, err := s.computePlan(cctx, assigner, prob)
-		if err != nil {
-			return cachedPlan{}, 0, err
-		}
-		s.tierPublish(cctx, prob, key, &resp, a)
-		return cachedPlan{resp: resp, a: a}, planSizeBytes(&resp), nil
+		return cp, planSizeBytes(&cp), nil
 	})
 	switch outcome {
 	case plancache.Hit:
@@ -896,7 +903,8 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest, prob *core.Problem)
 	if err != nil {
 		return PlanResponse{}, nil, err
 	}
-	return cached.resp, cached.a, nil
+	resp, a := cached.expand(prob.NumProcs())
+	return resp, a, nil
 }
 
 // computePlan runs the resolved strategy over the decoded problem under

@@ -2,15 +2,18 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"opass/internal/core"
 	"opass/internal/dfs"
 	"opass/internal/telemetry"
 )
@@ -234,5 +237,136 @@ func TestPlanCacheTTLExpiry(t *testing.T) {
 	post(t, srv, "/v1/plan", req)
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("planner ran %d times after TTL expiry, want 2", got)
+	}
+}
+
+// unevenLayoutRequest spreads 6 single-input tasks of two sizes over 8
+// processes on 4 nodes, so plans leave some processes without a task (a
+// null list on the wire) and give others several.
+func unevenLayoutRequest(strategy string) PlanRequest {
+	req := PlanRequest{Nodes: 4, ProcNodes: []int{0, 1, 2, 3, 0, 1, 2, 3}, Strategy: strategy, Seed: 5}
+	for i := 0; i < 6; i++ {
+		req.Tasks = append(req.Tasks, TaskSpec{Inputs: []InputSpec{{
+			SizeMB:   float64(32 * (1 + i%2)),
+			Replicas: []int{i % 4, (i*3 + 1) % 4},
+		}}})
+	}
+	return req
+}
+
+// decodeFor decodes req the way the plan handlers do.
+func decodeFor(t *testing.T, s *Server, req PlanRequest) (*PlanRequest, *core.Problem) {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(raw))
+	dreq, prob, apiErr := decodeProblem(httptest.NewRecorder(), r, s.limits)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	return dreq, prob
+}
+
+// TestPlanCacheHitMatchesMissBytes: the cache keeps owners only and
+// rebuilds the lists on a hit, so for every served strategy the hit must
+// encode to exactly the miss's bytes, and a caller mutating the lists of
+// one hit must not reach the entry or the next hit.
+func TestPlanCacheHitMatchesMissBytes(t *testing.T) {
+	for _, strategy := range []string{"opass", "rank", "random", "greedy"} {
+		t.Run(strategy, func(t *testing.T) {
+			srv, runs, _ := countingServer(t, ServerOptions{})
+			req := unevenLayoutRequest(strategy)
+			_, miss := post(t, srv, "/v1/plan", req)
+			_, hit := post(t, srv, "/v1/plan", req)
+			if got := runs.Load(); got != 1 {
+				t.Fatalf("planner ran %d times, want 1", got)
+			}
+			if !bytes.Equal(miss, hit) {
+				t.Fatalf("hit differs from miss:\n%s\nvs\n%s", miss, hit)
+			}
+			if !bytes.Contains(miss, []byte("null")) {
+				t.Fatalf("layout left no process without a task: %s", miss)
+			}
+			// The rebuilt lists must also be the planner's own lists: an
+			// uncached server's plan differs only in planner_ms.
+			uncached, _, _ := countingServer(t, ServerOptions{PlanCacheEntries: -1})
+			_, direct := post(t, uncached, "/v1/plan", req)
+			var got, ref PlanResponse
+			if err := json.Unmarshal(miss, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(direct, &ref); err != nil {
+				t.Fatal(err)
+			}
+			got.PlannerMillis, ref.PlannerMillis = 0, 0
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("cached plan %+v, uncached %+v", got, ref)
+			}
+
+			s := srv.Config.Handler.(*Server)
+			dreq, prob := decodeFor(t, s, req)
+			ctx := context.Background()
+			resp, a, err := s.plan(ctx, dreq, prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.Marshal(resp)
+			for p := range resp.Lists {
+				for i := range resp.Lists[p] {
+					resp.Lists[p][i] = -1
+				}
+				resp.Lists[p] = append(resp.Lists[p], 99)
+				a.Lists[p] = append(a.Lists[p], 98)
+			}
+			resp, a, err = s.plan(ctx, dreq, prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := json.Marshal(resp); !bytes.Equal(got, want) {
+				t.Fatalf("hit after mutating an earlier hit's lists:\n%s\nwant\n%s", got, want)
+			}
+			if err := a.Validate(prob); err != nil {
+				t.Fatalf("assignment after mutating an earlier hit: %v", err)
+			}
+			if got := runs.Load(); got != 1 {
+				t.Fatalf("planner ran %d times, want 1", got)
+			}
+		})
+	}
+}
+
+// TestPlanCacheEntriesKeepOwnersOnly: an entry carries no lists and no
+// solver-match flags, and the cache charges it 8 B per owner plus the
+// envelope.
+func TestPlanCacheEntriesKeepOwnersOnly(t *testing.T) {
+	s := NewServer(ServerOptions{Registry: telemetry.NewRegistry()})
+	req := unevenLayoutRequest("opass")
+	dreq, prob := decodeFor(t, s, req)
+	if _, _, err := s.plan(context.Background(), dreq, prob); err != nil {
+		t.Fatal(err)
+	}
+	assigner, apiErr := pickAssigner(dreq, prob)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	cp, ok := s.planCache.Get(planFingerprint(prob, assigner.Name(), dreq.Seed))
+	if !ok {
+		t.Fatal("plan not cached")
+	}
+	if cp.resp.Lists != nil || cp.a.Lists != nil || cp.a.Matched != nil {
+		t.Fatalf("cached entry retains lists or matches: resp.Lists=%v a.Lists=%v a.Matched=%v",
+			cp.resp.Lists, cp.a.Lists, cp.a.Matched)
+	}
+	if len(cp.a.Owner) != len(req.Tasks) {
+		t.Fatalf("cached entry has %d owners, want %d", len(cp.a.Owner), len(req.Tasks))
+	}
+	want := int64(len(req.Tasks))*8 + 256
+	if got := planSizeBytes(&cp); got != want {
+		t.Fatalf("planSizeBytes = %d, want %d", got, want)
+	}
+	if got := s.planCache.Stats().Bytes; got != want {
+		t.Fatalf("cache charged %d bytes for one entry, want %d", got, want)
 	}
 }

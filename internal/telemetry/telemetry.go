@@ -305,7 +305,10 @@ func canonLabels(labels []Label) ([]Label, string) {
 	return cp, b.String()
 }
 
-func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series {
+// lookup returns the series for name+labels, creating it on first use. A
+// new series gets its value from init before it is published under the
+// lock, so a concurrent WritePrometheus never sees a series without one.
+func (r *Registry) lookup(name string, kind metricKind, labels []Label, init func(*series)) *series {
 	cp, ls := canonLabels(labels)
 	key := metricKey{name: name, labels: ls}
 	r.mu.Lock()
@@ -320,6 +323,7 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series 
 		panic(fmt.Sprintf("telemetry: metric %q re-registered with a different type", name))
 	}
 	s := &series{name: name, labels: cp, kind: kind}
+	init(s)
 	r.series[key] = s
 	r.kinds[name] = kind
 	return s
@@ -328,40 +332,24 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series 
 // Counter returns (creating on first use) the counter series for
 // name+labels.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	s := r.lookup(name, kindCounter, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.lookup(name, kindCounter, labels, func(s *series) { s.counter = &Counter{} }).counter
 }
 
 // Gauge returns (creating on first use) the gauge series for name+labels.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	s := r.lookup(name, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, kindGauge, labels, func(s *series) { s.gauge = &Gauge{} }).gauge
 }
 
 // Histogram returns (creating on first use) the histogram series for
 // name+labels. buckets is consulted only on first creation; nil means
 // DefBuckets.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
-	s := r.lookup(name, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.hist == nil {
+	return r.lookup(name, kindHistogram, labels, func(s *series) {
 		if buckets == nil {
 			buckets = DefBuckets
 		}
 		s.hist = newHistogram(buckets)
-	}
-	return s.hist
+	}).hist
 }
 
 // promLabels renders {k="v",...} or "" for an unlabeled series, with extra
